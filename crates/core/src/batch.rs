@@ -53,24 +53,6 @@ pub struct PlanLanes {
     ys: Vec<Vec<u16>>,
 }
 
-/// One triangle's slice of a node's lanes: `lines` holds
-/// `TEXELS_PER_FRAGMENT` line ids per fragment, `xs`/`ys` one coordinate
-/// pair per fragment.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TriangleLanes<'a> {
-    pub(crate) lines: &'a [u32],
-    pub(crate) xs: &'a [u16],
-    pub(crate) ys: &'a [u16],
-}
-
-impl TriangleLanes<'_> {
-    /// Number of fragments in the slice.
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.xs.len()
-    }
-}
-
 impl PlanLanes {
     /// Pivots `stream` into `plan`-ordered lanes (one [`FragBatch`] pass
     /// plus one plan walk).
@@ -144,15 +126,24 @@ impl PlanLanes {
         self.xs[node].len()
     }
 
-    /// The lanes of `count` consecutive fragments of `node` starting at
-    /// fragment index `start`.
+    /// The footprints of `count` consecutive fragments of `node`
+    /// starting at fragment index `start`: each fragment's line ids
+    /// (borrowed from the lane) with its pixel coordinate.
     #[inline]
-    pub(crate) fn triangle_lanes(&self, node: usize, start: usize, count: usize) -> TriangleLanes<'_> {
-        TriangleLanes {
-            lines: &self.lines[node][start * TEXELS_PER_FRAGMENT..(start + count) * TEXELS_PER_FRAGMENT],
-            xs: &self.xs[node][start..start + count],
-            ys: &self.ys[node][start..start + count],
-        }
+    pub(crate) fn footprints(
+        &self,
+        node: usize,
+        start: usize,
+        count: usize,
+    ) -> impl ExactSizeIterator<Item = (&[u32; TEXELS_PER_FRAGMENT], u16, u16)> + '_ {
+        let (lines, _) = self.lines[node]
+            [start * TEXELS_PER_FRAGMENT..(start + count) * TEXELS_PER_FRAGMENT]
+            .as_chunks::<TEXELS_PER_FRAGMENT>();
+        lines
+            .iter()
+            .zip(&self.xs[node][start..start + count])
+            .zip(&self.ys[node][start..start + count])
+            .map(|((lane, &x), &y)| (lane, x, y))
     }
 
     /// The per-node line-access trace these lanes describe — the input of

@@ -2,8 +2,8 @@
 
 use crate::batch::PlanLanes;
 use crate::config::MachineConfig;
-use crate::node::Node;
-use crate::plan::RoutingPlan;
+use crate::node::{footprint, Node};
+use crate::plan::{OwnerLut, RoutingPlan};
 use crate::report::RunReport;
 use sortmid_geom::Rect;
 use sortmid_memsys::Cycle;
@@ -291,6 +291,14 @@ impl Machine {
     }
 
     /// Replays one stream over existing nodes; returns the routed count.
+    ///
+    /// The live walk behind [`run`](Self::run), [`run_traced`](Self::run_traced)
+    /// and [`run_sequence`](Self::run_sequence): ownership comes from an
+    /// [`OwnerLut`] built once per frame (two table reads per fragment,
+    /// no div/rem), and each owned fragment's footprint is resolved into a
+    /// stack array and probed through the batched scan — no plan, no lane
+    /// pivot, so a config that shares nothing with other configs pays for
+    /// nothing it does not use.
     fn run_frame<S: TraceSink>(
         &self,
         stream: &FragmentStream,
@@ -298,6 +306,7 @@ impl Machine {
         sink: &mut S,
     ) -> u64 {
         let procs = self.config.processors;
+        let lut = OwnerLut::build(&self.config.distribution, stream.screen(), procs);
         let mut scratch: Vec<Vec<&Fragment>> = (0..procs).map(|_| Vec::new()).collect();
         let mut send_time: Cycle = 0;
         let mut routed: u64 = 0;
@@ -312,10 +321,7 @@ impl Machine {
 
             // Partition the triangle's fragments by owner.
             for frag in stream.fragments_of(tri) {
-                let owner =
-                    self.config
-                        .distribution
-                        .owner(frag.x as i32, frag.y as i32, procs);
+                let owner = lut.owner(frag.x, frag.y);
                 debug_assert!(mask & (1u128 << owner) != 0, "owner outside overlap mask");
                 scratch[owner as usize].push(frag);
             }
@@ -338,9 +344,9 @@ impl Machine {
                 if m & 1 != 0 {
                     // Drain keeps the allocation alive for the next
                     // triangle while handing out `&Fragment` items.
-                    node.process_triangle_traced(
+                    node.process_triangle_batched(
                         send,
-                        scratch[i].drain(..),
+                        scratch[i].drain(..).map(footprint),
                         i as u32,
                         ti as u32,
                         setup_anchor(&tri.bbox),
@@ -397,7 +403,7 @@ impl Machine {
                         seg += 1;
                         let bucket = &plan.frag_order[bucket_start..end];
                         bucket_start = end;
-                        node.process_triangle_traced(
+                        node.process_triangle_scalar(
                             send,
                             bucket.iter().map(|&fi| &fragments[fi as usize]),
                             i as u32,
@@ -408,7 +414,7 @@ impl Machine {
                     } else {
                         // Bounding-box overlap without owned fragments:
                         // the setup floor still applies.
-                        node.process_triangle_traced(
+                        node.process_triangle_scalar(
                             send,
                             [].iter(),
                             i as u32,
@@ -427,9 +433,8 @@ impl Machine {
     }
 
     /// [`run_frame_planned`](Self::run_frame_planned) on the batched core:
-    /// the same plan walk, but each owner's bucket is a contiguous
-    /// [`TriangleLanes`](crate::batch::TriangleLanes) slice of the
-    /// prebuilt [`PlanLanes`] instead of a gather through `frag_order`,
+    /// the same plan walk, but each owner's bucket is a contiguous slice
+    /// of the prebuilt [`PlanLanes`] instead of a gather through `frag_order`,
     /// and fragments resolve through the cache's batched lane probe.
     /// Routing, broadcast gating and timing are unchanged — reports stay
     /// byte-identical to the scalar walk.
@@ -475,9 +480,9 @@ impl Machine {
                     }
                     let at = cursor[i];
                     cursor[i] += count;
-                    node.process_triangle_lanes(
+                    node.process_triangle_batched(
                         send,
-                        lanes.triangle_lanes(i, at, count),
+                        lanes.footprints(i, at, count),
                         i as u32,
                         pt.tri,
                         setup_anchor(&tri.bbox),

@@ -1,20 +1,20 @@
 //! One texture-mapping node: engine timing + cache + triangle FIFO.
 
-use crate::batch::TriangleLanes;
 use crate::config::MachineConfig;
 use crate::report::NodeReport;
 use sortmid_cache::{AnyCache, CacheStats, LineCache};
 use sortmid_memsys::{Cycle, EngineTiming, TriangleFifo};
 use sortmid_observe::{MissClassCounts, NullSink, TraceEvent, TraceSink};
 use sortmid_raster::Fragment;
-use sortmid_texture::TEXELS_PER_FRAGMENT;
+use sortmid_texture::{footprint_lines, TEXELS_PER_FRAGMENT};
+use std::borrow::Borrow;
 
 /// The simulation state of one node.
 ///
 /// The cache is stored as a concrete [`AnyCache`] enum rather than a
 /// `Box<dyn LineCache>`: the texel probe loop runs 8 times per fragment, so
 /// devirtualizing `access_line` lets the common set-associative and
-/// perfect-cache probes inline into [`Node::process_triangle`].
+/// perfect-cache probes inline into the scan loops.
 pub(crate) struct Node {
     engine: EngineTiming,
     cache: AnyCache,
@@ -49,30 +49,32 @@ impl Node {
         self.fifo.earliest_send()
     }
 
-    /// Processes one routed triangle: `arrival` is its send time, `frags`
-    /// yields the fragments this node owns, in stream order (possibly none
-    /// — the setup floor still applies). Returns the cycle the engine
-    /// dequeued it.
-    ///
-    /// Generic over the fragment source so both the legacy partition-per-
-    /// triangle path and the [`RoutingPlan`](crate::plan::RoutingPlan)
-    /// index-range path feed the same (inlined) texel loop.
+    /// Processes one routed triangle untraced: `arrival` is its send time,
+    /// `frags` yields the fragments this node owns, in stream order
+    /// (possibly none — the setup floor still applies). Returns the cycle
+    /// the engine dequeued it. Runs the batched scan, each footprint
+    /// computed on the stack ([`footprint`]).
     pub(crate) fn process_triangle<'a, I>(&mut self, arrival: Cycle, frags: I) -> Cycle
     where
         I: ExactSizeIterator<Item = &'a Fragment>,
     {
-        self.process_triangle_traced(arrival, frags, 0, 0, (0, 0), &mut NullSink)
+        self.process_triangle_batched(arrival, frags.map(footprint), 0, 0, (0, 0), &mut NullSink)
     }
 
-    /// [`process_triangle`](Self::process_triangle) with a [`TraceSink`]:
-    /// reports the FIFO dequeue, the triangle's start (with fragment
+    /// The scalar reference path: processes one routed triangle through
+    /// the per-texel [`scan_fragments`] loop, with a [`TraceSink`]
+    /// receiving the FIFO dequeue, the triangle's start (with fragment
     /// count), every bus line fill, the retire, and the spatial hooks —
     /// one sample per fragment (with classified line misses) plus the
     /// triangle's setup-floor padding anchored at `anchor` (the bounding
     /// box origin, so overlaps that own no fragments still attribute their
     /// setup somewhere meaningful). With [`NullSink`] all event code
-    /// monomorphizes away, leaving the untraced hot loop.
-    pub(crate) fn process_triangle_traced<'a, I, S>(
+    /// monomorphizes away.
+    ///
+    /// Only the scalar plan replay
+    /// ([`Machine::run_planned_scalar`](crate::Machine::run_planned_scalar))
+    /// calls this: it is the oracle the batched scan is pinned against.
+    pub(crate) fn process_triangle_scalar<'a, I, S>(
         &mut self,
         arrival: Cycle,
         frags: I,
@@ -85,19 +87,7 @@ impl Node {
         I: ExactSizeIterator<Item = &'a Fragment>,
         S: TraceSink,
     {
-        let start = self.engine.start_triangle(arrival);
-        self.fifo.record_start(start);
-        self.triangles_routed += 1;
-        self.pixel_work += frags.len() as u64;
-        if S::ENABLED {
-            sink.record(TraceEvent::FifoPop { node: node_id, at: start });
-            sink.record(TraceEvent::TriStart {
-                node: node_id,
-                tri: tri_id,
-                at: start,
-                frags: frags.len() as u32,
-            });
-        }
+        let start = self.begin_triangle(arrival, frags.len(), node_id, tri_id, sink);
         // Dispatch on the cache variant once per *triangle*, not once per
         // texel: each arm monomorphizes `scan_fragments`, so the 8-probe
         // loop inlines the concrete `access_line`.
@@ -109,61 +99,92 @@ impl Node {
             AnyCache::Victim(c) => scan_fragments(c, &mut self.engine, frags, node_id, sink),
             AnyCache::Dyn(c) => scan_fragments(c.as_mut(), &mut self.engine, frags, node_id, sink),
         }
-        let free = self.engine.finish_triangle(self.setup_cycles);
-        if S::ENABLED {
-            sink.record_setup(node_id, anchor.0, anchor.1, self.engine.last_setup_padding());
-            sink.record(TraceEvent::TriRetire { node: node_id, tri: tri_id, at: free });
-        }
+        self.end_triangle(node_id, tri_id, anchor, sink);
         start
     }
 
     /// The batched counterpart of
-    /// [`process_triangle_traced`](Self::process_triangle_traced): the
-    /// triangle's fragments arrive as struct-of-arrays lanes (contiguous
-    /// line ids and pixel coordinates from a
-    /// [`PlanLanes`](crate::batch::PlanLanes)) instead of an `&Fragment`
-    /// iterator. FIFO, counter and event framing are identical; only the
-    /// scan body differs — it resolves each fragment's footprint through
-    /// the cache's batched [`access_lane`](LineCache::access_lane), which
-    /// is contractually byte-identical to the scalar probe loop.
-    pub(crate) fn process_triangle_lanes<S: TraceSink>(
+    /// [`process_triangle_scalar`](Self::process_triangle_scalar): each
+    /// fragment arrives as its footprint's line ids plus its pixel
+    /// coordinate — borrowed from the struct-of-arrays lanes of a
+    /// [`PlanLanes`](crate::batch::PlanLanes), or computed on the stack
+    /// from a [`Fragment`] ([`footprint`]) by the live walk. FIFO,
+    /// counter and event framing are identical; only the scan body
+    /// differs — it resolves each fragment's footprint through the cache's
+    /// batched [`access_lane`](LineCache::access_lane), which is
+    /// contractually byte-identical to the scalar probe loop.
+    pub(crate) fn process_triangle_batched<I, L, S>(
         &mut self,
         arrival: Cycle,
-        lanes: TriangleLanes<'_>,
+        footprints: I,
         node_id: u32,
         tri_id: u32,
         anchor: (u16, u16),
+        sink: &mut S,
+    ) -> Cycle
+    where
+        I: ExactSizeIterator<Item = (L, u16, u16)>,
+        L: Borrow<[u32; TEXELS_PER_FRAGMENT]>,
+        S: TraceSink,
+    {
+        let start = self.begin_triangle(arrival, footprints.len(), node_id, tri_id, sink);
+        // As in the scalar path: dispatch on the cache variant once per
+        // triangle so the concrete batched probe inlines into the loop.
+        match &mut self.cache {
+            AnyCache::Perfect(c) => scan_lanes(c, &mut self.engine, footprints, node_id, sink),
+            AnyCache::SetAssoc(c) => scan_lanes(c, &mut self.engine, footprints, node_id, sink),
+            AnyCache::Classifying(c) => scan_lanes(c, &mut self.engine, footprints, node_id, sink),
+            AnyCache::TwoLevel(c) => scan_lanes(c, &mut self.engine, footprints, node_id, sink),
+            AnyCache::Victim(c) => scan_lanes(c, &mut self.engine, footprints, node_id, sink),
+            AnyCache::Dyn(c) => scan_lanes(c.as_mut(), &mut self.engine, footprints, node_id, sink),
+        }
+        self.end_triangle(node_id, tri_id, anchor, sink);
+        start
+    }
+
+    /// Framing shared by both scan bodies: the engine dequeues the
+    /// triangle (FIFO pop, start event) and its `frags` owned fragments
+    /// join the pixel work. Returns the dequeue cycle.
+    #[inline]
+    fn begin_triangle<S: TraceSink>(
+        &mut self,
+        arrival: Cycle,
+        frags: usize,
+        node_id: u32,
+        tri_id: u32,
         sink: &mut S,
     ) -> Cycle {
         let start = self.engine.start_triangle(arrival);
         self.fifo.record_start(start);
         self.triangles_routed += 1;
-        self.pixel_work += lanes.len() as u64;
+        self.pixel_work += frags as u64;
         if S::ENABLED {
             sink.record(TraceEvent::FifoPop { node: node_id, at: start });
             sink.record(TraceEvent::TriStart {
                 node: node_id,
                 tri: tri_id,
                 at: start,
-                frags: lanes.len() as u32,
+                frags: frags as u32,
             });
         }
-        // As in the scalar path: dispatch on the cache variant once per
-        // triangle so the concrete batched probe inlines into the loop.
-        match &mut self.cache {
-            AnyCache::Perfect(c) => scan_lanes(c, &mut self.engine, lanes, node_id, sink),
-            AnyCache::SetAssoc(c) => scan_lanes(c, &mut self.engine, lanes, node_id, sink),
-            AnyCache::Classifying(c) => scan_lanes(c, &mut self.engine, lanes, node_id, sink),
-            AnyCache::TwoLevel(c) => scan_lanes(c, &mut self.engine, lanes, node_id, sink),
-            AnyCache::Victim(c) => scan_lanes(c, &mut self.engine, lanes, node_id, sink),
-            AnyCache::Dyn(c) => scan_lanes(c.as_mut(), &mut self.engine, lanes, node_id, sink),
-        }
+        start
+    }
+
+    /// Framing after the scan: the setup floor, the spatial setup sample
+    /// anchored at `anchor`, and the retire event.
+    #[inline]
+    fn end_triangle<S: TraceSink>(
+        &mut self,
+        node_id: u32,
+        tri_id: u32,
+        anchor: (u16, u16),
+        sink: &mut S,
+    ) {
         let free = self.engine.finish_triangle(self.setup_cycles);
         if S::ENABLED {
             sink.record_setup(node_id, anchor.0, anchor.1, self.engine.last_setup_padding());
             sink.record(TraceEvent::TriRetire { node: node_id, tri: tri_id, at: free });
         }
-        start
     }
 
     /// Accepts a broadcast triangle whose bounding box misses this node's
@@ -247,6 +268,13 @@ fn cache_stats_copy(stats: &CacheStats) -> CacheStats {
     *stats
 }
 
+/// A fragment as the batched scan consumes it: its footprint's line ids
+/// (computed into a stack array) and its pixel coordinate.
+#[inline]
+pub(crate) fn footprint(frag: &Fragment) -> ([u32; TEXELS_PER_FRAGMENT], u16, u16) {
+    (footprint_lines(&frag.texels), frag.x, frag.y)
+}
+
 /// The scalar texel hot loop, generic over the concrete cache model so the
 /// probe fully inlines (`?Sized` keeps the `Box<dyn LineCache>` escape
 /// hatch usable through the same code path).
@@ -305,15 +333,22 @@ fn scan_fragments<'a, C, I, S>(
 /// fragment's whole footprint (branch-free compares, duplicate-run
 /// collapse — whatever the concrete model overrides), and the miss lines
 /// feed the engine exactly as in [`scan_fragments`].
+///
+/// Generic over the footprint source: the plan replay borrows each
+/// footprint from its [`PlanLanes`](crate::batch::PlanLanes), the live
+/// walk computes it into a stack array per fragment — one scan body
+/// either way.
 #[inline]
-fn scan_lanes<C, S>(
+fn scan_lanes<C, I, L, S>(
     cache: &mut C,
     engine: &mut EngineTiming,
-    lanes: TriangleLanes<'_>,
+    footprints: I,
     node_id: u32,
     sink: &mut S,
 ) where
     C: LineCache + ?Sized,
+    I: Iterator<Item = (L, u16, u16)>,
+    L: Borrow<[u32; TEXELS_PER_FRAGMENT]>,
     S: TraceSink,
 {
     // Untraced runs coalesce consecutive all-hit fragments into one bulk
@@ -321,15 +356,14 @@ fn scan_lanes<C, S>(
     // the per-fragment engine calls because every fragment owes the sink a
     // spatial sample.
     let mut clean_run: u64 = 0;
-    for (i, lane) in lanes.lines.chunks_exact(TEXELS_PER_FRAGMENT).enumerate() {
+    for (lane, x, y) in footprints {
+        let lane = lane.borrow();
         let mut miss_lines = [0u32; TEXELS_PER_FRAGMENT];
         let mut classes = MissClassCounts::default();
         let misses = cache.access_lane(lane, &mut miss_lines, &mut classes);
         debug_assert!(
             misses <= lane.len(),
-            "fragment at ({}, {}) reported {misses} misses for an {}-texel footprint",
-            lanes.xs[i],
-            lanes.ys[i],
+            "fragment at ({x}, {y}) reported {misses} misses for an {}-texel footprint",
             lane.len(),
         );
         if !S::ENABLED && misses == 0 {
@@ -342,7 +376,7 @@ fn scan_lanes<C, S>(
         }
         engine.fragment_lines_sink(&miss_lines[..misses], node_id, sink);
         if S::ENABLED {
-            sink.record_fragment(node_id, lanes.xs[i], lanes.ys[i], misses as u32, classes);
+            sink.record_fragment(node_id, x, y, misses as u32, classes);
         }
     }
     if clean_run > 0 {

@@ -1,8 +1,12 @@
 //! Shared scaffolding for the experiment modules.
 
-use sortmid::{CacheKind, Distribution, MachineConfig};
+use sortmid::{
+    run_graph, CacheKind, Distribution, Machine, MachineConfig, NullHostSink, RunReport,
+    SweepOptions, TaskGraph,
+};
 use sortmid_raster::FragmentStream;
 use sortmid_scene::{Benchmark, Scene, SceneBuilder};
+use std::sync::OnceLock;
 
 /// The block widths the paper sweeps for the square-block distribution
 /// (widths 1 and 2 are shown in Figure 5 but dropped from the locality
@@ -100,6 +104,34 @@ pub fn machine(
     b.build().expect("sweep configs are valid")
 }
 
+/// Runs [`Machine::run`] on every `(stream, config)` job, side by side on
+/// the host's cores, and returns the reports in job order.
+///
+/// The figures' grids give every config its own routing (one config per
+/// distribution × processor count), so there is no plan to share and the
+/// sweep engine's pivots would only cost time and memory; what pays is
+/// running independent configs at once. The jobs go to the
+/// [`sortmid::sched`] pool as an edge-free [`TaskGraph`] costed by
+/// fragment count, so the longest start first, on as many workers as
+/// [`SweepOptions::default`] uses, the calling thread being worker 0. Each
+/// report lands in its job's own slot, so the output does not depend on
+/// which worker ran what.
+pub fn run_machines(jobs: &[(&FragmentStream, MachineConfig)]) -> Vec<RunReport> {
+    let mut graph = TaskGraph::with_capacity(jobs.len());
+    for (stream, _) in jobs {
+        graph.add(stream.fragment_count());
+    }
+    let slots: Vec<OnceLock<RunReport>> = jobs.iter().map(|_| OnceLock::new()).collect();
+    run_graph(graph, SweepOptions::default().threads, &NullHostSink, &|task, _| {
+        let (stream, config) = &jobs[task];
+        let _ = slots[task].set(Machine::new(config.clone()).run(stream));
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every job ran"))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,5 +157,33 @@ mod tests {
         assert_eq!(c.triangle_buffer, 100);
         let c2 = machine(4, Distribution::block(16), CacheKind::Perfect, Some(2.0), 10);
         assert_eq!(c2.bus.line_cost(), 8);
+    }
+
+    #[test]
+    fn run_machines_returns_the_serial_reports_in_job_order() {
+        let small = PreparedScene::new(Benchmark::Quake, 0.05);
+        let large = PreparedScene::new(Benchmark::TeapotFull, 0.08);
+        let configs: Vec<MachineConfig> = [1u32, 4, 16]
+            .into_iter()
+            .flat_map(|procs| {
+                [Distribution::block(8), Distribution::sli(2)]
+                    .map(|dist| machine(procs, dist, CacheKind::PaperL1, Some(1.0), 100))
+            })
+            .collect();
+        // More jobs than workers on any host, with mixed costs: every
+        // third job runs the larger stream.
+        let workers = SweepOptions::default().threads;
+        let jobs: Vec<(&FragmentStream, MachineConfig)> = (0..2 * workers + 3)
+            .map(|i| {
+                let scene = if i % 3 == 0 { &large } else { &small };
+                (&scene.stream, configs[i % configs.len()].clone())
+            })
+            .collect();
+        let serial: Vec<RunReport> = jobs
+            .iter()
+            .map(|(stream, cfg)| Machine::new(cfg.clone()).run(stream))
+            .collect();
+        assert_eq!(run_machines(&jobs), serial);
+        assert!(run_machines(&[]).is_empty());
     }
 }

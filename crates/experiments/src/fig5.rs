@@ -8,7 +8,9 @@
 //! * **speedup curves**: perfect-cache speedup vs processor count for
 //!   `32massive11255`, one series per parameter.
 
-use crate::common::{machine, short_name, PreparedScene, BLOCK_WIDTHS_FULL, PROC_CURVE, SLI_LINES};
+use crate::common::{
+    machine, run_machines, short_name, PreparedScene, BLOCK_WIDTHS_FULL, PROC_CURVE, SLI_LINES,
+};
 use sortmid::{work, CacheKind, Distribution, Machine, SpatialCollector};
 use sortmid_observe::owner_color;
 use sortmid_scene::Benchmark;
@@ -38,7 +40,8 @@ pub fn imbalance_table(scenes: &[PreparedScene], procs: u32, sli: bool) -> Table
 }
 
 /// Perfect-cache speedup of `scene` vs processor count, one column per
-/// parameter (the bottom graphs of Figure 5).
+/// parameter (the bottom graphs of Figure 5). The baseline and the whole
+/// grid run as one [`run_machines`] job list.
 pub fn speedup_curves(scene: &PreparedScene, sli: bool) -> Table {
     let params: &[u32] = if sli { &SLI_LINES } else { &BLOCK_WIDTHS_FULL };
     let mut header = vec!["procs".to_string()];
@@ -46,27 +49,28 @@ pub fn speedup_curves(scene: &PreparedScene, sli: bool) -> Table {
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
     let mut t = Table::new(&header_refs);
 
-    let baseline = Machine::new(machine(
-        1,
-        Distribution::block(16),
-        CacheKind::Perfect,
-        Some(1.0),
-        10_000,
-    ))
-    .run(&scene.stream);
-
+    let mut jobs = vec![(
+        &scene.stream,
+        machine(1, Distribution::block(16), CacheKind::Perfect, Some(1.0), 10_000),
+    )];
     for &procs in &PROC_CURVE {
-        let mut row = vec![procs.to_string()];
         for &p in params {
             let dist = if sli {
                 Distribution::sli(p)
             } else {
                 Distribution::block(p)
             };
-            let report = Machine::new(machine(procs, dist, CacheKind::Perfect, Some(1.0), 10_000))
-                .run(&scene.stream);
-            row.push(fmt_f(report.speedup_vs(&baseline), 2));
+            jobs.push((
+                &scene.stream,
+                machine(procs, dist, CacheKind::Perfect, Some(1.0), 10_000),
+            ));
         }
+    }
+    let reports = run_machines(&jobs);
+    let (baseline, grid) = reports.split_first().expect("the baseline job");
+    for (&procs, runs) in PROC_CURVE.iter().zip(grid.chunks(params.len())) {
+        let mut row = vec![procs.to_string()];
+        row.extend(runs.iter().map(|r| fmt_f(r.speedup_vs(baseline), 2)));
         t.row_owned(row);
     }
     t

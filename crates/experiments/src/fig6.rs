@@ -9,7 +9,7 @@
 //! The paper plots `32massive11255` and `teapot.full` and notes the other
 //! scenes behave like one of the two; we emit every scene.
 
-use crate::common::{machine, PreparedScene, BLOCK_WIDTHS, PROC_CURVE, SLI_LINES};
+use crate::common::{machine, run_machines, PreparedScene, BLOCK_WIDTHS, PROC_CURVE, SLI_LINES};
 use sortmid::{CacheKind, Distribution, Machine, MissClassCounts, SpatialCollector};
 use sortmid_cache::CacheGeometry;
 use sortmid_scene::Benchmark;
@@ -17,25 +17,31 @@ use sortmid_util::table::{fmt_f, Table};
 use std::path::Path;
 
 /// Texel-to-fragment ratio of one scene vs processor count; one column per
-/// parameter value.
+/// parameter value. The grid runs as one [`run_machines`] job list.
 pub fn locality_table(scene: &PreparedScene, sli: bool) -> Table {
     let params: &[u32] = if sli { &SLI_LINES } else { &BLOCK_WIDTHS };
     let mut header = vec!["procs".to_string()];
     header.extend(params.iter().map(|p| p.to_string()));
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
     let mut t = Table::new(&header_refs);
+    let mut jobs = Vec::with_capacity(PROC_CURVE.len() * params.len());
     for &procs in &PROC_CURVE {
-        let mut row = vec![procs.to_string()];
         for &p in params {
             let dist = if sli {
                 Distribution::sli(p)
             } else {
                 Distribution::block(p)
             };
-            let report =
-                Machine::new(machine(procs, dist, CacheKind::PaperL1, None, 10_000)).run(&scene.stream);
-            row.push(fmt_f(report.texel_to_fragment(), 3));
+            jobs.push((
+                &scene.stream,
+                machine(procs, dist, CacheKind::PaperL1, None, 10_000),
+            ));
         }
+    }
+    let reports = run_machines(&jobs);
+    for (&procs, runs) in PROC_CURVE.iter().zip(reports.chunks(params.len())) {
+        let mut row = vec![procs.to_string()];
+        row.extend(runs.iter().map(|r| fmt_f(r.texel_to_fragment(), 3)));
         t.row_owned(row);
     }
     t

@@ -6,36 +6,40 @@
 //! \[15\]) and the near-ideal 10 000-entry triangle buffer. Speedup is against
 //! the single-processor machine with the same cache and bus.
 
-use crate::common::{machine, short_name, PreparedScene, BLOCK_WIDTHS, PROC_PANELS, SLI_LINES};
-use sortmid::{CacheKind, Distribution, Machine, RunReport};
+use crate::common::{
+    machine, run_machines, short_name, PreparedScene, BLOCK_WIDTHS, PROC_PANELS, SLI_LINES,
+};
+use sortmid::{CacheKind, Distribution, Machine, MachineConfig, RunReport};
 use sortmid_util::table::{fmt_f, Table};
 
 /// One panel: speedups of every benchmark (rows) × parameter (columns).
+///
+/// The whole panel is one [`run_machines`] job list: each scene's
+/// 1-processor baseline followed by one config per parameter.
 pub fn speedup_panel(scenes: &[PreparedScene], procs: u32, sli: bool, bus_ratio: f64) -> Table {
     let params: &[u32] = if sli { &SLI_LINES } else { &BLOCK_WIDTHS };
     let mut header = vec!["benchmark".to_string()];
     header.extend(params.iter().map(|p| p.to_string()));
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
     let mut t = Table::new(&header_refs);
+    let mut jobs = Vec::with_capacity(scenes.len() * (params.len() + 1));
     for s in scenes {
-        let baseline = baseline(s, bus_ratio);
-        let mut row = vec![short_name(s.benchmark).to_string()];
+        jobs.push((&s.stream, baseline_config(bus_ratio)));
         for &p in params {
             let dist = if sli {
                 Distribution::sli(p)
             } else {
                 Distribution::block(p)
             };
-            let report = Machine::new(machine(
-                procs,
-                dist,
-                CacheKind::PaperL1,
-                Some(bus_ratio),
-                10_000,
-            ))
-            .run(&s.stream);
-            row.push(fmt_f(report.speedup_vs(&baseline), 2));
+            let config = machine(procs, dist, CacheKind::PaperL1, Some(bus_ratio), 10_000);
+            jobs.push((&s.stream, config));
         }
+    }
+    let reports = run_machines(&jobs);
+    for (s, runs) in scenes.iter().zip(reports.chunks(params.len() + 1)) {
+        let (baseline, cells) = runs.split_first().expect("a baseline per scene");
+        let mut row = vec![short_name(s.benchmark).to_string()];
+        row.extend(cells.iter().map(|r| fmt_f(r.speedup_vs(baseline), 2)));
         t.row_owned(row);
     }
     t
@@ -43,14 +47,18 @@ pub fn speedup_panel(scenes: &[PreparedScene], procs: u32, sli: bool, bus_ratio:
 
 /// The single-processor reference run for a scene at a bus ratio.
 pub fn baseline(scene: &PreparedScene, bus_ratio: f64) -> RunReport {
-    Machine::new(machine(
+    Machine::new(baseline_config(bus_ratio)).run(&scene.stream)
+}
+
+/// The single-processor machine every Figure 7 speedup divides by.
+fn baseline_config(bus_ratio: f64) -> MachineConfig {
+    machine(
         1,
         Distribution::block(16),
         CacheKind::PaperL1,
         Some(bus_ratio),
         10_000,
-    ))
-    .run(&scene.stream)
+    )
 }
 
 /// Runs all six panels at `scale` with the given bus ratio; returns

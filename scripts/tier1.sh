@@ -45,7 +45,8 @@ bench_dir=$(mktemp -d)
 threads_dir=$(mktemp -d)
 noreplay_dir=$(mktemp -d)
 scalar_dir=$(mktemp -d)
-trap 'rm -rf "$bench_dir" "$threads_dir" "$noreplay_dir" "$scalar_dir"' EXIT
+figures_dir=$(mktemp -d)
+trap 'rm -rf "$bench_dir" "$threads_dir" "$noreplay_dir" "$scalar_dir" "$figures_dir"' EXIT
 SORTMID_BENCH_SAMPLES=1 SORTMID_BENCH_WARMUP=0 SORTMID_BENCH_DIR="$bench_dir" \
     cargo run -q --release --offline -p sortmid-bench --bin sweep
 test -f "$bench_dir/METRICS_sweep.json" || {
@@ -102,5 +103,19 @@ cargo run -q --release --offline -p sortmid-bench --bin bench_check -- \
 # sweep actually ships).
 echo "==> batched-vs-scalar property lane (release)"
 cargo test -q --release --offline --test batched
+
+# Figure output pins: the paper's figures must print byte for byte what
+# the committed goldens hold — Figure 7 at its default scale against the
+# benchmark's golden panels, Figures 5 and 6 at --scale 0.1 against
+# tests/golden. A change to the simulated machine shows up here as a diff
+# of the printed tables.
+echo "==> figure output pins (fig7 default scale, fig5/fig6 at --scale 0.1)"
+cargo run -q --release --offline -p sortmid-experiments -- fig7 >"$figures_dir/fig7.txt"
+cmp "$figures_dir/fig7.txt" "$repo/perfbench/golden/fig7.txt"
+for fig in fig5 fig6; do
+    cargo run -q --release --offline -p sortmid-experiments -- "$fig" --scale 0.1 \
+        >"$figures_dir/$fig.txt"
+    cmp "$figures_dir/$fig.txt" "$repo/tests/golden/${fig}_scale0.1.txt"
+done
 
 echo "tier1: OK"

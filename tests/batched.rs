@@ -7,9 +7,11 @@
 //! victim-buffered, and DRAM-backed variants — the batched plan replay
 //! ([`Machine::run_planned`]) must emit a [`RunReport`] byte-identical to
 //! the scalar per-texel loop ([`Machine::run_planned_scalar`]) and to the
-//! unplanned reference walk ([`Machine::run`]). The same holds under
-//! observation (spatial three-C attribution, full event traces) and for
-//! the trace-capture path the stack-distance replay feeds on.
+//! live walk ([`Machine::run`], which routes through an owner table and
+//! probes each footprint from a stack array, with no plan or pivot). The
+//! same holds under observation (spatial three-C attribution, full event
+//! traces — for the plan replay and the live walk alike) and for the
+//! trace-capture path the stack-distance replay feeds on.
 
 use sortmid::{
     capture_line_trace, CacheKind, Distribution, Machine, MachineConfig, PlanLanes, RoutingPlan,
@@ -208,6 +210,72 @@ fn prop_batched_event_stream_matches_scalar() {
                 scalar_rec.events(),
                 "event streams diverge for {}",
                 batched.summary()
+            );
+            Ok(())
+        },
+    );
+}
+
+/// The traced live walk against the scalar oracle, for every cache model
+/// (DRAM-backed machines included): [`Machine::run_traced`] must give the
+/// scalar plan replay's report and every spatial observation — per-tile
+/// samples, per-node fragment/line/setup totals and three-C classes.
+#[test]
+fn prop_live_walk_spatial_collection_matches_scalar() {
+    check(
+        "prop_live_walk_spatial_collection_matches_scalar",
+        &Config::with_cases(16),
+        arb_config,
+        |config| {
+            let s = stream();
+            let screen = s.screen();
+            let procs = config.processors;
+            let machine = Machine::new(config.clone());
+            let plan = RoutingPlan::build(s, &config.distribution, procs);
+            let collect =
+                || SpatialCollector::new(screen.width().max(1), screen.height().max(1), 16, procs);
+            let mut live_col = collect();
+            let live = machine.run_traced(s, &mut live_col);
+            let mut scalar_col = collect();
+            let scalar = machine.run_planned_scalar_traced(s, &plan, &mut scalar_col);
+            prop_assert_eq!(&live, &scalar, "traced live walk diverges for {}", config.summary());
+            prop_assert_eq!(live_col.grid(), scalar_col.grid(), "per-tile spatial samples diverge");
+            prop_assert_eq!(live_col.node_fragments(), scalar_col.node_fragments());
+            prop_assert_eq!(live_col.node_lines(), scalar_col.node_lines());
+            prop_assert_eq!(live_col.node_setup(), scalar_col.node_setup());
+            prop_assert_eq!(
+                live_col.node_misses(),
+                scalar_col.node_misses(),
+                "three-C attribution diverges"
+            );
+            Ok(())
+        },
+    );
+}
+
+/// The live walk's full event trace (FIFO pushes/pops, triangle
+/// lifecycle, every bus fill with its slot and cost) equals the scalar
+/// oracle's, for every cache model including DRAM-backed machines.
+#[test]
+fn prop_live_walk_event_stream_matches_scalar() {
+    check(
+        "prop_live_walk_event_stream_matches_scalar",
+        &Config::with_cases(8),
+        arb_config,
+        |config| {
+            let s = stream();
+            let machine = Machine::new(config.clone());
+            let plan = RoutingPlan::build(s, &config.distribution, config.processors);
+            let mut live_rec = TraceRecorder::new();
+            let live = machine.run_traced(s, &mut live_rec);
+            let mut scalar_rec = TraceRecorder::new();
+            let scalar = machine.run_planned_scalar_traced(s, &plan, &mut scalar_rec);
+            prop_assert_eq!(&live, &scalar, "traced reports diverge");
+            prop_assert_eq!(
+                live_rec.events(),
+                scalar_rec.events(),
+                "event streams diverge for {}",
+                config.summary()
             );
             Ok(())
         },
